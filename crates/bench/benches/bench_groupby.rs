@@ -1,5 +1,6 @@
-//! Criterion: grouped aggregation — the vectorized fast path against the
-//! generic datum-at-a-time path, across group cardinalities.
+//! Criterion: grouped aggregation — the aggregate kernel on an encoded
+//! key word against the same kernel on a computed `Datum` key, across
+//! group cardinalities.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dash_common::{row, Field, Row, Schema};
@@ -54,7 +55,7 @@ fn bench_groupby(c: &mut Criterion) {
     group.throughput(Throughput::Elements(n as u64));
     for cardinality in [4usize, 256, 16_384] {
         let b = batch(n, cardinality);
-        // Fast path: bare column key.
+        // Bare column key: grouped on its encoded word.
         group.bench_with_input(
             BenchmarkId::new("vectorized", cardinality),
             &b,
@@ -75,8 +76,8 @@ fn bench_groupby(c: &mut Criterion) {
                 })
             },
         );
-        // Generic path: key is an expression, which disqualifies the fast
-        // path (g + 0 is semantically the same key).
+        // Computed key: grouped on materialized `Datum`s (g + 0 is
+        // semantically the same key).
         group.bench_with_input(
             BenchmarkId::new("generic", cardinality),
             &b,

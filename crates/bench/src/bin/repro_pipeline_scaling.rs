@@ -4,7 +4,9 @@
 //! Runs the join+group repro query over 1.5M fact rows twice per worker
 //! count — once on the materialized operator-at-a-time executor, once on
 //! the pipeline scheduler — and records peak in-flight memory and the
-//! scaling trajectory in `BENCH_pipeline.json`.
+//! scaling trajectory in `BENCH_pipeline.json`. A second query, a
+//! single-key GROUP BY with no join, times the aggregate kernel itself on
+//! both executors.
 //!
 //! The memory claim under test: the materialized executor's peak is
 //! O(join output) because the aggregate's input batch is fully resident,
@@ -141,6 +143,31 @@ fn find(runs: &[Run], workers: usize, pipelined: bool) -> &Run {
         .expect("run present")
 }
 
+/// One JSON line per run; `wall_label` names the measured wall-time field.
+fn runs_json(runs: &[Run], wall_label: &str) -> String {
+    let mut json = String::new();
+    for (i, r) in runs.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"workers\": {}, \"pipelined\": {}, \"{wall_label}\": {:.6}, \"sim_io_serial_s\": {:.6}, \
+             \"modeled_elapsed_s\": {:.6}, \"peak_inflight_bytes\": {}, \"peak_inflight_morsels\": {}, \
+             \"pipelines_run\": {}, \"pipeline_breakers\": {}, \"results_identical\": {}}}{}",
+            r.workers,
+            r.pipelined,
+            r.cpu_s,
+            r.sim_io_s,
+            r.total_s,
+            r.peak_inflight_bytes,
+            r.peak_inflight_morsels,
+            r.pipelines_run,
+            r.pipeline_breakers,
+            r.identical,
+            if i + 1 == runs.len() { "" } else { "," },
+        );
+    }
+    json
+}
+
 fn main() {
     println!("Pipelined execution reproduction — dashdb-local-rs");
     println!("building {FACT_ROWS} fact rows against a {POOL_PAGES}-page pool...");
@@ -209,6 +236,39 @@ fn main() {
         },
     );
 
+    // One int key, three typed aggregates, no join: both executors run the
+    // same aggregate kernel, so the pipelined drive must not cost more.
+    let single_sql = "SELECT grp, COUNT(*), SUM(qty), SUM(qty2) FROM facts GROUP BY grp";
+    section("single-key group by, materialized vs pipelined (measured wall time)");
+    let single = scale_query(&db, single_sql);
+    for r in &single {
+        report(
+            &format!(
+                "{} worker(s), {}",
+                r.workers,
+                if r.pipelined { "pipelined   " } else { "materialized" }
+            ),
+            format!(
+                "measured {:>7.1} ms wall (modeled {:>7.1} ms)",
+                r.cpu_s * 1e3,
+                r.total_s * 1e3
+            ),
+        );
+    }
+    section("single-key shape checks");
+    for w in [1, 2] {
+        let (mat, pipe) = (find(&single, w, false), find(&single, w, true));
+        report(
+            &format!("pipelined measured wall at or below materialized at {w} worker(s)"),
+            format!(
+                "{:.1} ms vs {:.1} ms {}",
+                pipe.cpu_s * 1e3,
+                mat.cpu_s * 1e3,
+                if pipe.cpu_s <= mat.cpu_s { "PASS" } else { "FAIL" }
+            ),
+        );
+    }
+
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"pipeline_scaling\",\n");
     let _ = write!(
@@ -234,26 +294,21 @@ fn main() {
     );
     let _ = writeln!(json, "  \"sql\": \"{sql}\",");
     json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"workers\": {}, \"pipelined\": {}, \"cpu_wall_s\": {:.6}, \"sim_io_serial_s\": {:.6}, \
-             \"modeled_elapsed_s\": {:.6}, \"peak_inflight_bytes\": {}, \"peak_inflight_morsels\": {}, \
-             \"pipelines_run\": {}, \"pipeline_breakers\": {}, \"results_identical\": {}}}{}",
-            r.workers,
-            r.pipelined,
-            r.cpu_s,
-            r.sim_io_s,
-            r.total_s,
-            r.peak_inflight_bytes,
-            r.peak_inflight_morsels,
-            r.pipelines_run,
-            r.pipeline_breakers,
-            r.identical,
-            if i + 1 == runs.len() { "" } else { "," },
-        );
-    }
-    json.push_str("  ]\n}\n");
+    json.push_str(&runs_json(&runs, "cpu_wall_s"));
+    json.push_str("  ],\n  \"single_key_group_by\": {\n");
+    let _ = writeln!(json, "    \"sql\": \"{single_sql}\",");
+    let _ = writeln!(
+        json,
+        "    \"host_cores\": {},",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    json.push_str(
+        "    \"measured\": \"measured_wall_s is the median of 3 timed runs on the host; \
+         modeled_elapsed_s follows timing_model above and is not a measurement.\",\n",
+    );
+    json.push_str("    \"runs\": [\n");
+    json.push_str(&runs_json(&single, "measured_wall_s"));
+    json.push_str("    ]\n  }\n}\n");
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("\nwrote BENCH_pipeline.json");
 }

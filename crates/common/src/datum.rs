@@ -262,9 +262,9 @@ impl Hash for Datum {
 /// `-0.0` folds onto `+0.0` and every NaN payload folds onto one canonical
 /// NaN, so bit-level key identity agrees with SQL equality (`-0.0 = 0.0`,
 /// and NaN pairs compare Equal under [`Datum::sql_cmp`]). Every keyed path
-/// — `Datum` hashing, the aggregate fast path, and the encoded key words —
-/// must go through this one form so group identity never drifts between
-/// paths.
+/// — `Datum` hashing, the aggregate kernel's group map, and the encoded
+/// key words — must go through this one form so group identity never
+/// drifts between paths.
 pub fn canonical_f64_bits(v: f64) -> u64 {
     if v.is_nan() {
         f64::NAN.to_bits()

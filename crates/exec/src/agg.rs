@@ -13,7 +13,7 @@ use crate::batch::Batch;
 use crate::expr::Expr;
 use crate::functions::EvalContext;
 use crate::join::PARTITION_ROWS;
-use crate::key::{self, route_hash, KeyCol, KeyMode, StrInterner, STR_MISS};
+use crate::key::{self, KeyCol, KeyMode, StrInterner, STR_MISS};
 use crate::pool;
 use crate::stats::ExecStats;
 use dash_common::fxhash::FxHashMap;
@@ -22,6 +22,7 @@ use dash_common::{canonical_f64_bits, BudgetLease, DashError, DataType, Datum, R
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, PartialEq)]
@@ -362,578 +363,6 @@ fn group_hash(key: &[Datum]) -> u64 {
     h.finish()
 }
 
-/// The aggregate shapes the vectorized fast path understands: `COUNT(*)`,
-/// or `COUNT`/`SUM`/`AVG` over a bare column.
-enum FastKind {
-    CountStar,
-    Count(usize),
-    SumInt(usize),
-    SumFloat(usize),
-    Avg(usize),
-}
-
-/// Row threshold below which the parallel fast path is not worth the
-/// per-morsel bookkeeping.
-const FAST_PARALLEL_MIN_ROWS: usize = 2 * 4096;
-
-/// Vectorized fast path: single bare-column group key with
-/// COUNT/SUM/AVG-style aggregates over bare columns. Operates on the
-/// typed column vectors directly — no per-row datum materialization —
-/// which is where the "cache efficient ... grouping and aggregation"
-/// CPU advantage lives.
-fn try_fast_aggregate(
-    input: &Batch,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Option<Result<Batch>> {
-    use dash_encoding::column::ColumnValues;
-    let g = match group_exprs {
-        [Expr::Col(g)] => *g,
-        _ => return None,
-    };
-    let mut kinds = Vec::with_capacity(aggs.len());
-    for a in aggs {
-        if a.distinct {
-            return None;
-        }
-        let col = match a.args.as_slice() {
-            [] => None,
-            [Expr::Col(c)] => Some(*c),
-            _ => return None,
-        };
-        let k = match (&a.func, col) {
-            (AggFunc::CountStar, None) => FastKind::CountStar,
-            (AggFunc::Count, Some(c)) => FastKind::Count(c),
-            (AggFunc::Sum, Some(c)) => match input.column(c) {
-                ColumnValues::Int(_) => FastKind::SumInt(c),
-                ColumnValues::Float(_) => FastKind::SumFloat(c),
-                ColumnValues::Str(_) => return None,
-            },
-            (AggFunc::Avg, Some(c)) => match input.column(c) {
-                ColumnValues::Str(_) => return None,
-                _ => FastKind::Avg(c),
-            },
-            _ => return None,
-        };
-        kinds.push(k);
-    }
-    if parallelism > 1 && input.len() >= FAST_PARALLEL_MIN_ROWS {
-        return Some(fast_aggregate_parallel(
-            input, g, &kinds, aggs, out_schema, ctx, parallelism, stats,
-        ));
-    }
-    // Map each row to a dense group id via the typed key column.
-    let n = input.len();
-    let mut group_of = vec![0u32; n];
-    let mut n_groups = 0u32;
-    let mut key_rows: Vec<usize> = Vec::new(); // representative row per group
-    match input.column(g) {
-        ColumnValues::Int(v) => {
-            let mut map: FxHashMap<Option<i64>, u32> = FxHashMap::default();
-            for (i, k) in v.iter().enumerate() {
-                let id = *map.entry(*k).or_insert_with(|| {
-                    key_rows.push(i);
-                    n_groups += 1;
-                    n_groups - 1
-                });
-                group_of[i] = id;
-            }
-        }
-        ColumnValues::Str(v) => {
-            let mut map: FxHashMap<Option<std::sync::Arc<str>>, u32> = FxHashMap::default();
-            for (i, k) in v.iter().enumerate() {
-                let id = *map.entry(k.clone()).or_insert_with(|| {
-                    key_rows.push(i);
-                    n_groups += 1;
-                    n_groups - 1
-                });
-                group_of[i] = id;
-            }
-        }
-        ColumnValues::Float(v) => {
-            let mut map: FxHashMap<Option<u64>, u32> = FxHashMap::default();
-            for (i, k) in v.iter().enumerate() {
-                let id = *map
-                    .entry(k.map(canonical_f64_bits))
-                    .or_insert_with(|| {
-                        key_rows.push(i);
-                        n_groups += 1;
-                        n_groups - 1
-                    });
-                group_of[i] = id;
-            }
-        }
-    }
-    let ng = n_groups as usize;
-    // Accumulate each aggregate in one typed pass.
-    let mut results: Vec<Vec<Datum>> = Vec::with_capacity(aggs.len());
-    for k in &kinds {
-        match k {
-            FastKind::CountStar => {
-                let mut counts = vec![0i64; ng];
-                for &gid in &group_of {
-                    counts[gid as usize] += 1;
-                }
-                results.push(counts.into_iter().map(Datum::Int).collect());
-            }
-            FastKind::Count(c) => {
-                let mut counts = vec![0i64; ng];
-                match input.column(*c) {
-                    ColumnValues::Int(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if x.is_some() {
-                                counts[group_of[i] as usize] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Float(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if x.is_some() {
-                                counts[group_of[i] as usize] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Str(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if x.is_some() {
-                                counts[group_of[i] as usize] += 1;
-                            }
-                        }
-                    }
-                }
-                results.push(counts.into_iter().map(Datum::Int).collect());
-            }
-            FastKind::SumInt(c) => {
-                let ColumnValues::Int(v) = input.column(*c) else {
-                    unreachable!("checked above");
-                };
-                let mut sums = vec![0i64; ng];
-                let mut any = vec![false; ng];
-                for (i, x) in v.iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] = sums[gid].wrapping_add(*x);
-                        any[gid] = true;
-                    }
-                }
-                results.push(
-                    sums.into_iter()
-                        .zip(any)
-                        .map(|(s, a)| if a { Datum::Int(s) } else { Datum::Null })
-                        .collect(),
-                );
-            }
-            FastKind::SumFloat(c) => {
-                let ColumnValues::Float(v) = input.column(*c) else {
-                    unreachable!("checked above");
-                };
-                let mut sums = vec![0.0f64; ng];
-                let mut any = vec![false; ng];
-                for (i, x) in v.iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] += *x;
-                        any[gid] = true;
-                    }
-                }
-                results.push(
-                    sums.into_iter()
-                        .zip(any)
-                        .map(|(s, a)| if a { Datum::Float(s) } else { Datum::Null })
-                        .collect(),
-                );
-            }
-            FastKind::Avg(c) => {
-                let mut sums = vec![0.0f64; ng];
-                let mut counts = vec![0i64; ng];
-                let mut add = |i: usize, x: f64| {
-                    let gid = group_of[i] as usize;
-                    sums[gid] += x;
-                    counts[gid] += 1;
-                };
-                match input.column(*c) {
-                    ColumnValues::Int(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if let Some(x) = x {
-                                add(i, *x as f64);
-                            }
-                        }
-                    }
-                    ColumnValues::Float(v) => {
-                        for (i, x) in v.iter().enumerate() {
-                            if let Some(x) = x {
-                                add(i, *x);
-                            }
-                        }
-                    }
-                    ColumnValues::Str(_) => unreachable!("checked above"),
-                }
-                results.push(
-                    sums.into_iter()
-                        .zip(counts)
-                        .map(|(s, c)| if c > 0 { Datum::Float(s / c as f64) } else { Datum::Null })
-                        .collect(),
-                );
-            }
-        }
-    }
-    // Assemble output rows: key then aggregate columns.
-    let key_dt = input.schema().field(g).data_type;
-    let mut rows = Vec::with_capacity(ng);
-    for gi in 0..ng {
-        let mut row = Vec::with_capacity(1 + aggs.len());
-        row.push(input.column(g).datum_at(key_dt, key_rows[gi]));
-        for col in &results {
-            row.push(col[gi].clone());
-        }
-        rows.push(Row::new(row));
-    }
-    Some(Batch::from_rows(out_schema.clone(), &rows))
-}
-
-/// One morsel's worth of fast-path state: group-key datums in
-/// first-appearance order plus one typed accumulator per aggregate.
-struct FastPartial {
-    keys: Vec<Datum>,
-    accs: Vec<FastAcc>,
-}
-
-/// A typed partial accumulator, indexed by dense (morsel-local or global)
-/// group id.
-enum FastAcc {
-    /// `COUNT(*)` / `COUNT(col)`.
-    Count(Vec<i64>),
-    /// `SUM` over an integer column (wrapping, like the serial fast path).
-    SumInt {
-        /// Per-group running sums.
-        sums: Vec<i64>,
-        /// Whether the group saw any non-null value.
-        any: Vec<bool>,
-    },
-    /// `SUM` over a float column.
-    SumFloat {
-        /// Per-group running sums.
-        sums: Vec<f64>,
-        /// Whether the group saw any non-null value.
-        any: Vec<bool>,
-    },
-    /// `AVG`: sum + count folded at finish.
-    Avg {
-        /// Per-group running sums.
-        sums: Vec<f64>,
-        /// Per-group non-null counts.
-        counts: Vec<i64>,
-    },
-}
-
-impl FastAcc {
-    fn empty_for(kind: &FastKind) -> FastAcc {
-        match kind {
-            FastKind::CountStar | FastKind::Count(_) => FastAcc::Count(Vec::new()),
-            FastKind::SumInt(_) => FastAcc::SumInt {
-                sums: Vec::new(),
-                any: Vec::new(),
-            },
-            FastKind::SumFloat(_) => FastAcc::SumFloat {
-                sums: Vec::new(),
-                any: Vec::new(),
-            },
-            FastKind::Avg(_) => FastAcc::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-        }
-    }
-
-    /// Fold a morsel-local accumulator into the global one. `map` rewrites
-    /// local group ids to global ids; `ng` is the global group count after
-    /// this morsel's new keys were registered.
-    fn merge(&mut self, map: &[usize], local: FastAcc, ng: usize) {
-        match (self, local) {
-            (FastAcc::Count(dst), FastAcc::Count(src)) => {
-                dst.resize(ng, 0);
-                for (lg, v) in src.into_iter().enumerate() {
-                    dst[map[lg]] += v;
-                }
-            }
-            (FastAcc::SumInt { sums, any }, FastAcc::SumInt { sums: s, any: a }) => {
-                sums.resize(ng, 0);
-                any.resize(ng, false);
-                for (lg, v) in s.into_iter().enumerate() {
-                    sums[map[lg]] = sums[map[lg]].wrapping_add(v);
-                }
-                for (lg, v) in a.into_iter().enumerate() {
-                    any[map[lg]] |= v;
-                }
-            }
-            (FastAcc::SumFloat { sums, any }, FastAcc::SumFloat { sums: s, any: a }) => {
-                sums.resize(ng, 0.0);
-                any.resize(ng, false);
-                for (lg, v) in s.into_iter().enumerate() {
-                    sums[map[lg]] += v;
-                }
-                for (lg, v) in a.into_iter().enumerate() {
-                    any[map[lg]] |= v;
-                }
-            }
-            (FastAcc::Avg { sums, counts }, FastAcc::Avg { sums: s, counts: c }) => {
-                sums.resize(ng, 0.0);
-                counts.resize(ng, 0);
-                for (lg, v) in s.into_iter().enumerate() {
-                    sums[map[lg]] += v;
-                }
-                for (lg, v) in c.into_iter().enumerate() {
-                    counts[map[lg]] += v;
-                }
-            }
-            _ => unreachable!("fast accumulator kinds are fixed per aggregate"),
-        }
-    }
-
-    fn finish(&self, gi: usize) -> Datum {
-        match self {
-            FastAcc::Count(c) => Datum::Int(c[gi]),
-            FastAcc::SumInt { sums, any } => {
-                if any[gi] {
-                    Datum::Int(sums[gi])
-                } else {
-                    Datum::Null
-                }
-            }
-            FastAcc::SumFloat { sums, any } => {
-                if any[gi] {
-                    Datum::Float(sums[gi])
-                } else {
-                    Datum::Null
-                }
-            }
-            FastAcc::Avg { sums, counts } => {
-                if counts[gi] > 0 {
-                    Datum::Float(sums[gi] / counts[gi] as f64)
-                } else {
-                    Datum::Null
-                }
-            }
-        }
-    }
-}
-
-/// Hashable group-key identity for merging fast-path partials. Floats use
-/// [`canonical_f64_bits`] — the one canonical form every keyed path shares
-/// (`Datum` hashing, the typed key maps here, and the encoded key words) —
-/// so `NaN` groups with itself and `-0.0` groups with `0.0`, matching SQL
-/// equality under [`Datum::sql_cmp`] on every path.
-#[derive(Hash, PartialEq, Eq)]
-enum FastKey {
-    Null,
-    Int(i64),
-    Bits(u64),
-    Str(std::sync::Arc<str>),
-}
-
-fn fast_key(d: &Datum) -> FastKey {
-    match d {
-        Datum::Null => FastKey::Null,
-        Datum::Int(i) => FastKey::Int(*i),
-        Datum::Float(f) => FastKey::Bits(canonical_f64_bits(*f)),
-        Datum::Str(s) => FastKey::Str(s.clone()),
-        // The fast path only keys on Int/Float/Str column vectors.
-        other => unreachable!("fast-path key cannot be {other:?}"),
-    }
-}
-
-fn count_nonnull<T>(v: &[Option<T>], group_of: &[u32], counts: &mut [i64]) {
-    for (i, x) in v.iter().enumerate() {
-        if x.is_some() {
-            counts[group_of[i] as usize] += 1;
-        }
-    }
-}
-
-/// Aggregate one row-range morsel of the fast path: local dense group ids
-/// over `[lo, hi)`, then one typed accumulation pass per aggregate.
-fn fast_partial(input: &Batch, g: usize, kinds: &[FastKind], lo: usize, hi: usize) -> FastPartial {
-    use dash_encoding::column::ColumnValues;
-    let mut group_of = vec![0u32; hi - lo];
-    let mut key_rows: Vec<usize> = Vec::new(); // representative row per group
-    let mut ng = 0u32;
-    match input.column(g) {
-        ColumnValues::Int(v) => {
-            let mut map: FxHashMap<Option<i64>, u32> = FxHashMap::default();
-            for (i, k) in v[lo..hi].iter().enumerate() {
-                group_of[i] = *map.entry(*k).or_insert_with(|| {
-                    key_rows.push(lo + i);
-                    ng += 1;
-                    ng - 1
-                });
-            }
-        }
-        ColumnValues::Str(v) => {
-            let mut map: FxHashMap<Option<std::sync::Arc<str>>, u32> = FxHashMap::default();
-            for (i, k) in v[lo..hi].iter().enumerate() {
-                group_of[i] = *map.entry(k.clone()).or_insert_with(|| {
-                    key_rows.push(lo + i);
-                    ng += 1;
-                    ng - 1
-                });
-            }
-        }
-        ColumnValues::Float(v) => {
-            let mut map: FxHashMap<Option<u64>, u32> = FxHashMap::default();
-            for (i, k) in v[lo..hi].iter().enumerate() {
-                group_of[i] = *map.entry(k.map(canonical_f64_bits)).or_insert_with(|| {
-                    key_rows.push(lo + i);
-                    ng += 1;
-                    ng - 1
-                });
-            }
-        }
-    }
-    let ngu = ng as usize;
-    let mut accs = Vec::with_capacity(kinds.len());
-    for k in kinds {
-        accs.push(match k {
-            FastKind::CountStar => {
-                let mut counts = vec![0i64; ngu];
-                for &gid in &group_of {
-                    counts[gid as usize] += 1;
-                }
-                FastAcc::Count(counts)
-            }
-            FastKind::Count(c) => {
-                let mut counts = vec![0i64; ngu];
-                match input.column(*c) {
-                    ColumnValues::Int(v) => count_nonnull(&v[lo..hi], &group_of, &mut counts),
-                    ColumnValues::Float(v) => count_nonnull(&v[lo..hi], &group_of, &mut counts),
-                    ColumnValues::Str(v) => count_nonnull(&v[lo..hi], &group_of, &mut counts),
-                }
-                FastAcc::Count(counts)
-            }
-            FastKind::SumInt(c) => {
-                let ColumnValues::Int(v) = input.column(*c) else {
-                    unreachable!("checked by caller");
-                };
-                let mut sums = vec![0i64; ngu];
-                let mut any = vec![false; ngu];
-                for (i, x) in v[lo..hi].iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] = sums[gid].wrapping_add(*x);
-                        any[gid] = true;
-                    }
-                }
-                FastAcc::SumInt { sums, any }
-            }
-            FastKind::SumFloat(c) => {
-                let ColumnValues::Float(v) = input.column(*c) else {
-                    unreachable!("checked by caller");
-                };
-                let mut sums = vec![0.0f64; ngu];
-                let mut any = vec![false; ngu];
-                for (i, x) in v[lo..hi].iter().enumerate() {
-                    if let Some(x) = x {
-                        let gid = group_of[i] as usize;
-                        sums[gid] += *x;
-                        any[gid] = true;
-                    }
-                }
-                FastAcc::SumFloat { sums, any }
-            }
-            FastKind::Avg(c) => {
-                let mut sums = vec![0.0f64; ngu];
-                let mut counts = vec![0i64; ngu];
-                match input.column(*c) {
-                    ColumnValues::Int(v) => {
-                        for (i, x) in v[lo..hi].iter().enumerate() {
-                            if let Some(x) = x {
-                                let gid = group_of[i] as usize;
-                                sums[gid] += *x as f64;
-                                counts[gid] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Float(v) => {
-                        for (i, x) in v[lo..hi].iter().enumerate() {
-                            if let Some(x) = x {
-                                let gid = group_of[i] as usize;
-                                sums[gid] += *x;
-                                counts[gid] += 1;
-                            }
-                        }
-                    }
-                    ColumnValues::Str(_) => unreachable!("checked by caller"),
-                }
-                FastAcc::Avg { sums, counts }
-            }
-        });
-    }
-    let key_dt = input.schema().field(g).data_type;
-    let keys = key_rows
-        .iter()
-        .map(|&r| input.column(g).datum_at(key_dt, r))
-        .collect();
-    FastPartial { keys, accs }
-}
-
-/// The fast path fanned out over row-range morsels: each morsel aggregates
-/// its range into typed partials; partials merge in morsel order, so group
-/// output order (first appearance) matches the serial fast path. Integer
-/// results are bit-identical to serial; float sums can differ in the last
-/// ulp because addition is reassociated across morsels.
-#[allow(clippy::too_many_arguments)]
-fn fast_aggregate_parallel(
-    input: &Batch,
-    g: usize,
-    kinds: &[FastKind],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Result<Batch> {
-    let ranges = pool::row_morsels(input.len(), parallelism, 4096);
-    let run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-        let (lo, hi) = ranges[mi];
-        Ok(fast_partial(input, g, kinds, lo, hi))
-    })?;
-    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
-
-    let mut gid_of: FxHashMap<FastKey, u32> = FxHashMap::default();
-    let mut keys: Vec<Datum> = Vec::new();
-    let mut accs: Vec<FastAcc> = kinds.iter().map(FastAcc::empty_for).collect();
-    for partial in run.results {
-        let map: Vec<usize> = partial
-            .keys
-            .into_iter()
-            .map(|k| {
-                *gid_of.entry(fast_key(&k)).or_insert_with(|| {
-                    keys.push(k);
-                    keys.len() as u32 - 1
-                }) as usize
-            })
-            .collect();
-        let ng = keys.len();
-        for (acc, local) in accs.iter_mut().zip(partial.accs) {
-            acc.merge(&map, local, ng);
-        }
-    }
-
-    let mut rows = Vec::with_capacity(keys.len());
-    for (gi, key) in keys.iter().enumerate() {
-        let mut row = Vec::with_capacity(1 + aggs.len());
-        row.push(key.clone());
-        for acc in &accs {
-            row.push(acc.finish(gi));
-        }
-        rows.push(Row::new(row));
-    }
-    Batch::from_rows(out_schema.clone(), &rows)
-}
-
 /// Fused star-join aggregation: `GROUP BY` over an inner equi-join,
 /// accumulating directly while probing — no join output is ever
 /// materialized. Used by the executor when the plan shape is
@@ -1092,171 +521,660 @@ pub fn try_fused_join_aggregate(
     Some(Batch::from_rows(out_schema.clone(), &rows))
 }
 
-/// The operate-on-compressed grouping path: every group key is a bare
-/// column whose values reduce to fixed-width `u64` words (see
-/// [`crate::key`]), so partition routing and group identity never touch a
-/// `Datum`. Keys lay out as `nk + 1` words per row — the extra word is a
-/// NULL mask (bit `c` set = column `c` NULL, its key word zeroed), which
-/// groups NULLs together without reserving a sentinel in the word domain.
-/// Group values materialize late, from one representative row per group.
-///
-/// Returns `None` when the shape does not qualify (computed key
-/// expressions, too many keys, mismatched column kinds); the caller falls
-/// back to the `Datum` path.
-#[allow(clippy::too_many_arguments)]
-fn try_encoded_aggregate(
-    input: &Batch,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    out_schema: &Schema,
-    ctx: &EvalContext,
-    parallelism: usize,
-    stats: &mut ExecStats,
-) -> Option<Result<Batch>> {
-    let cols = key::group_key_cols(input, group_exprs)?;
-    Some(encoded_aggregate(
-        input, group_exprs, &cols, aggs, out_schema, ctx, parallelism, stats,
-    ))
+/// Rows per kernel chunk when the materialized executor aggregates a whole
+/// batch. Fixed, so chunk boundaries — and with them every float sum — do
+/// not depend on the worker count.
+const AGG_CHUNK_ROWS: usize = 4096;
+
+/// A materialized group key as a hash-map key. Floats compare by their
+/// canonical bits — the identity `Datum`'s hash already uses — rather than
+/// by [`Datum::sql_cmp`], under which NaN equals every number.
+#[derive(Clone)]
+struct GroupKey(Vec<Datum>);
+
+impl Hash for GroupKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn encoded_aggregate(
+impl PartialEq for GroupKey {
+    fn eq(&self, other: &GroupKey) -> bool {
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(&other.0).all(|(a, b)| match (a, b) {
+                (Datum::Float(x), Datum::Float(y)) => {
+                    canonical_f64_bits(*x) == canonical_f64_bits(*y)
+                }
+                _ => a == b,
+            })
+    }
+}
+
+impl Eq for GroupKey {}
+
+/// Pass 1 of the aggregate kernel: one dense group id per row, assigned in
+/// first-appearance order, plus each group's key values taken from its
+/// first row.
+struct Groups {
+    ids: Vec<u32>,
+    keys: Vec<Vec<Datum>>,
+}
+
+/// Register `row` as the representative of a new group; returns its id.
+#[inline]
+fn new_group(reps: &mut Vec<usize>, row: usize) -> u32 {
+    reps.push(row);
+    reps.len() as u32 - 1
+}
+
+/// Assign group ids to rows `[lo, hi)` of `input`.
+///
+/// - No group key: every row is group 0, so the global aggregate runs the
+///   same kernel (and an empty range still yields its one group).
+/// - One bare-column key: a map on the encoded key word plus a separate
+///   NULL group. String keys first try a memo keyed by the `Arc<str>`
+///   allocation — scan decode and the join's gather both hand out clones
+///   of the dictionary's single `Arc` per value, and the range holds its
+///   `Arc`s, so equal pointers mean equal strings. A pointer miss takes
+///   the dictionary word, or interns the string when it is outside the
+///   dictionary, so correctness never depends on the sharing.
+/// - Several bare-column keys: `nk` words plus a NULL-mask word per row
+///   (bit `c` set = column `c` NULL, its word zeroed), in a reused buffer.
+/// - Computed keys: `Datum` keys.
+fn group_rows(
+    input: &Batch,
+    lo: usize,
+    hi: usize,
+    group_exprs: &[Expr],
+    ctx: &EvalContext,
+    stats: &mut ExecStats,
+) -> Result<Groups> {
+    if group_exprs.is_empty() {
+        return Ok(Groups {
+            ids: vec![0; hi - lo],
+            keys: vec![Vec::new()],
+        });
+    }
+    let mut ids = Vec::with_capacity(hi - lo);
+    let Some(cols) = key::group_key_cols(input, group_exprs) else {
+        stats.datum_key_rows += (hi - lo) as u64;
+        let mut gid_of: FxHashMap<GroupKey, u32> = FxHashMap::default();
+        let mut keys: Vec<Vec<Datum>> = Vec::new();
+        let mut key = GroupKey(Vec::with_capacity(group_exprs.len()));
+        for row in lo..hi {
+            key.0.clear();
+            for g in group_exprs {
+                key.0.push(g.eval(input, row, ctx)?);
+            }
+            let gid = match gid_of.get(&key) {
+                Some(&g) => g,
+                None => {
+                    let g = keys.len() as u32;
+                    gid_of.insert(key.clone(), g);
+                    keys.push(key.0.clone());
+                    g
+                }
+            };
+            ids.push(gid);
+        }
+        return Ok(Groups { ids, keys });
+    };
+    stats.encoded_key_rows += (hi - lo) as u64;
+    let mut reps: Vec<usize> = Vec::new();
+    let mut null_gid: Option<u32> = None;
+    match cols.as_slice() {
+        [col @ KeyCol::Str { vals, .. }] => {
+            let mut by_ptr: FxHashMap<usize, u32> = FxHashMap::default();
+            let mut by_word: FxHashMap<u64, u32> = FxHashMap::default();
+            let mut interner = StrInterner::default();
+            for row in lo..hi {
+                let gid = match &vals[row] {
+                    None => *null_gid.get_or_insert_with(|| new_group(&mut reps, row)),
+                    Some(s) => {
+                        let ptr = std::sync::Arc::as_ptr(s) as *const u8 as usize;
+                        match by_ptr.get(&ptr) {
+                            Some(&g) => g,
+                            None => {
+                                let mut w = col.word(row).unwrap_or(STR_MISS);
+                                if w == STR_MISS {
+                                    w = interner.intern(s);
+                                }
+                                let g = *by_word
+                                    .entry(w)
+                                    .or_insert_with(|| new_group(&mut reps, row));
+                                by_ptr.insert(ptr, g);
+                                g
+                            }
+                        }
+                    }
+                };
+                ids.push(gid);
+            }
+        }
+        [col] => {
+            // Int and float words need no sentinel check: `i64::MAX`
+            // legitimately encodes to `u64::MAX`.
+            let mut by_word: FxHashMap<u64, u32> = FxHashMap::default();
+            for row in lo..hi {
+                let gid = match col.word(row) {
+                    None => *null_gid.get_or_insert_with(|| new_group(&mut reps, row)),
+                    Some(w) => *by_word
+                        .entry(w)
+                        .or_insert_with(|| new_group(&mut reps, row)),
+                };
+                ids.push(gid);
+            }
+        }
+        _ => {
+            let nk = cols.len();
+            let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
+            let mut gid_of: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
+            let mut words = vec![0u64; nk + 1];
+            for row in lo..hi {
+                let mut nulls = 0u64;
+                for (c, col) in cols.iter().enumerate() {
+                    words[c] = match col.word(row) {
+                        Some(w) if w == STR_MISS && col.is_str() => {
+                            interners[c].intern(col.str_at(row))
+                        }
+                        Some(w) => w,
+                        None => {
+                            nulls |= 1 << c;
+                            0
+                        }
+                    };
+                }
+                words[nk] = nulls;
+                let gid = match gid_of.get(&words) {
+                    Some(&g) => g,
+                    None => {
+                        let g = new_group(&mut reps, row);
+                        gid_of.insert(words.clone(), g);
+                        g
+                    }
+                };
+                ids.push(gid);
+            }
+        }
+    }
+    // Late materialization: key values decode once per group, from the
+    // group's first row.
+    let keys = reps
+        .iter()
+        .map(|&rep| {
+            group_exprs
+                .iter()
+                .map(|g| match g {
+                    Expr::Col(c) => input.value(rep, *c),
+                    _ => unreachable!("encoded grouping requires bare column keys"),
+                })
+                .collect()
+        })
+        .collect();
+    Ok(Groups { ids, keys })
+}
+
+/// One aggregate's accumulator column, indexed by dense group id. The typed
+/// arms are plain vectors the kernel's loops write directly; `Generic`
+/// keeps one [`AggState`] per group for everything else (computed
+/// arguments, string MIN/MAX, percentiles, moments).
+enum Acc {
+    /// `COUNT(*)` / `COUNT(col)`.
+    Count(Vec<i64>),
+    /// Integer `SUM`; `None` until the group sees a non-NULL value.
+    SumInt(Vec<Option<i64>>),
+    /// Float `SUM`; `None` until the group sees a non-NULL value.
+    SumFloat(Vec<Option<f64>>),
+    /// `AVG` as (sum, non-NULL count).
+    Avg(Vec<(f64, i64)>),
+    /// Integer `MIN` (`true`) or `MAX` (`false`).
+    MinMaxInt(Vec<Option<i64>>, bool),
+    /// Float `MIN` (`true`) or `MAX` (`false`).
+    MinMaxFloat(Vec<Option<f64>>, bool),
+    /// Every other aggregate, through [`update`] and [`merge_state`].
+    Generic(Vec<AggState>),
+}
+
+#[inline]
+fn add_int(slot: &mut Option<i64>, x: i64) -> Result<()> {
+    *slot = Some(match *slot {
+        None => x,
+        Some(s) => s
+            .checked_add(x)
+            .ok_or_else(|| DashError::exec("SUM overflow"))?,
+    });
+    Ok(())
+}
+
+/// Fold `x` into a running MIN/MAX with [`Datum::sql_cmp`] semantics: only
+/// a strictly smaller (larger) value replaces, so NaN never replaces and a
+/// NaN that arrived first stays.
+#[inline]
+fn fold_extreme<T: PartialOrd + Copy>(slot: &mut Option<T>, x: T, min: bool) {
+    match slot {
+        None => *slot = Some(x),
+        Some(c) => {
+            if (min && x < *c) || (!min && x > *c) {
+                *c = x;
+            }
+        }
+    }
+}
+
+fn count_nonnull<T>(v: &[Option<T>], ids: &[u32], ng: usize) -> Vec<i64> {
+    let mut counts = vec![0i64; ng];
+    for (x, &g) in v.iter().zip(ids) {
+        if x.is_some() {
+            counts[g as usize] += 1;
+        }
+    }
+    counts
+}
+
+fn avg<T: Copy>(v: &[Option<T>], ids: &[u32], ng: usize, f: impl Fn(T) -> f64) -> Vec<(f64, i64)> {
+    let mut avgs = vec![(0.0, 0i64); ng];
+    for (x, &g) in v.iter().zip(ids) {
+        if let Some(x) = *x {
+            let a = &mut avgs[g as usize];
+            a.0 += f(x);
+            a.1 += 1;
+        }
+    }
+    avgs
+}
+
+fn min_max<T: PartialOrd + Copy>(
+    v: &[Option<T>],
+    ids: &[u32],
+    ng: usize,
+    min: bool,
+) -> Vec<Option<T>> {
+    let mut out = vec![None; ng];
+    for (x, &g) in v.iter().zip(ids) {
+        if let Some(x) = *x {
+            fold_extreme(&mut out[g as usize], x, min);
+        }
+    }
+    out
+}
+
+/// Pass 2, typed arms: one loop over the argument's column vector. `None`
+/// when the aggregate needs the generic arm.
+fn typed_acc(
+    agg: &AggExpr,
+    input: &Batch,
+    lo: usize,
+    hi: usize,
+    ids: &[u32],
+    ng: usize,
+) -> Result<Option<Acc>> {
+    use dash_encoding::column::ColumnValues as Cv;
+    let col = match (&agg.func, agg.args.as_slice()) {
+        (AggFunc::CountStar, []) => {
+            let mut counts = vec![0i64; ng];
+            for &g in ids {
+                counts[g as usize] += 1;
+            }
+            return Ok(Some(Acc::Count(counts)));
+        }
+        (_, [Expr::Col(c)]) => *c,
+        _ => return Ok(None),
+    };
+    let int_typed = input.schema().field(col).data_type.is_integer();
+    let is_min = agg.func == AggFunc::Min;
+    Ok(Some(match (&agg.func, input.column(col)) {
+        (AggFunc::Count, Cv::Int(v)) => Acc::Count(count_nonnull(&v[lo..hi], ids, ng)),
+        (AggFunc::Count, Cv::Float(v)) => Acc::Count(count_nonnull(&v[lo..hi], ids, ng)),
+        (AggFunc::Count, Cv::Str(v)) => Acc::Count(count_nonnull(&v[lo..hi], ids, ng)),
+        (AggFunc::Sum, Cv::Int(v)) if int_typed => {
+            let mut sums = vec![None; ng];
+            for (x, &g) in v[lo..hi].iter().zip(ids) {
+                if let Some(x) = *x {
+                    add_int(&mut sums[g as usize], x)?;
+                }
+            }
+            Acc::SumInt(sums)
+        }
+        (AggFunc::Sum, Cv::Float(v)) => {
+            let mut sums: Vec<Option<f64>> = vec![None; ng];
+            for (x, &g) in v[lo..hi].iter().zip(ids) {
+                if let Some(x) = *x {
+                    let s = &mut sums[g as usize];
+                    *s = Some(s.unwrap_or(0.0) + x);
+                }
+            }
+            Acc::SumFloat(sums)
+        }
+        (AggFunc::Avg, Cv::Int(v)) if int_typed => Acc::Avg(avg(&v[lo..hi], ids, ng, |x| x as f64)),
+        (AggFunc::Avg, Cv::Float(v)) => Acc::Avg(avg(&v[lo..hi], ids, ng, |x| x)),
+        (AggFunc::Min | AggFunc::Max, Cv::Int(v)) if int_typed => {
+            Acc::MinMaxInt(min_max(&v[lo..hi], ids, ng, is_min), is_min)
+        }
+        (AggFunc::Min | AggFunc::Max, Cv::Float(v)) => {
+            Acc::MinMaxFloat(min_max(&v[lo..hi], ids, ng, is_min), is_min)
+        }
+        _ => return Ok(None),
+    }))
+}
+
+impl Acc {
+    fn approx_bytes(&self) -> u64 {
+        fn bytes<T>(v: &[T]) -> u64 {
+            std::mem::size_of_val(v) as u64
+        }
+        match self {
+            Acc::Count(v) => bytes(v),
+            Acc::SumInt(v) | Acc::MinMaxInt(v, _) => bytes(v),
+            Acc::SumFloat(v) | Acc::MinMaxFloat(v, _) => bytes(v),
+            Acc::Avg(v) => bytes(v),
+            Acc::Generic(v) => v.iter().map(state_bytes).sum(),
+        }
+    }
+
+    /// Merge a partial's column into this one, column-wise with
+    /// [`merge_state`] semantics. `map[lg]` is local group `lg`'s global
+    /// id; ids past the end are new groups, handed out in local order.
+    fn merge(&mut self, src: Acc, map: &[u32]) -> Result<()> {
+        fn fold<T>(
+            dst: &mut Vec<T>,
+            src: Vec<T>,
+            map: &[u32],
+            mut combine: impl FnMut(&mut T, T) -> Result<()>,
+        ) -> Result<()> {
+            for (v, &g) in src.into_iter().zip(map) {
+                match dst.get_mut(g as usize) {
+                    Some(d) => combine(d, v)?,
+                    None => {
+                        debug_assert_eq!(g as usize, dst.len(), "new groups arrive in order");
+                        dst.push(v);
+                    }
+                }
+            }
+            Ok(())
+        }
+        match (self, src) {
+            (Acc::Count(d), Acc::Count(s)) => fold(d, s, map, |a, b| {
+                *a += b;
+                Ok(())
+            }),
+            (Acc::SumInt(d), Acc::SumInt(s)) => fold(d, s, map, |a, b| match b {
+                Some(b) => add_int(a, b),
+                None => Ok(()),
+            }),
+            (Acc::SumFloat(d), Acc::SumFloat(s)) => fold(d, s, map, |a, b| {
+                if let Some(b) = b {
+                    *a = Some(a.unwrap_or(0.0) + b);
+                }
+                Ok(())
+            }),
+            (Acc::Avg(d), Acc::Avg(s)) => fold(d, s, map, |a, b| {
+                a.0 += b.0;
+                a.1 += b.1;
+                Ok(())
+            }),
+            (Acc::MinMaxInt(d, min), Acc::MinMaxInt(s, _)) => fold(d, s, map, |a, b| {
+                if let Some(b) = b {
+                    fold_extreme(a, b, *min);
+                }
+                Ok(())
+            }),
+            (Acc::MinMaxFloat(d, min), Acc::MinMaxFloat(s, _)) => fold(d, s, map, |a, b| {
+                if let Some(b) = b {
+                    fold_extreme(a, b, *min);
+                }
+                Ok(())
+            }),
+            (Acc::Generic(d), Acc::Generic(s)) => fold(d, s, map, merge_state),
+            _ => Err(DashError::internal(
+                "mismatched aggregate partial columns at merge",
+            )),
+        }
+    }
+
+    /// Final values, one per group.
+    fn finish(self, func: &AggFunc) -> Vec<Datum> {
+        match self {
+            Acc::Count(v) => v.into_iter().map(Datum::Int).collect(),
+            Acc::SumInt(v) | Acc::MinMaxInt(v, _) => v
+                .into_iter()
+                .map(|x| x.map_or(Datum::Null, Datum::Int))
+                .collect(),
+            Acc::SumFloat(v) | Acc::MinMaxFloat(v, _) => v
+                .into_iter()
+                .map(|x| x.map_or(Datum::Null, Datum::Float))
+                .collect(),
+            Acc::Avg(v) => v
+                .into_iter()
+                .map(|(s, n)| {
+                    if n == 0 {
+                        Datum::Null
+                    } else {
+                        Datum::Float(s / n as f64)
+                    }
+                })
+                .collect(),
+            Acc::Generic(v) => v.into_iter().map(|s| finish(s, func)).collect(),
+        }
+    }
+}
+
+/// One row range's grouped aggregate state: group keys in first-appearance
+/// order plus one accumulator column per aggregate. Produced on pool
+/// workers by [`aggregate_morsel`] (and the materialized executor's
+/// chunks), merged in morsel-index order by [`AggAccumulator::merge`].
+pub(crate) struct AggPartial {
+    keys: Vec<Vec<Datum>>,
+    accs: Vec<Acc>,
+    /// Key-path and typed-vs-eval row counters for this range.
+    stats: ExecStats,
+}
+
+impl AggPartial {
+    /// Rough heap footprint, for inflight accounting.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        let key_bytes: u64 = self
+            .keys
+            .iter()
+            .map(|k| dash_common::statement::approx_row_bytes(k))
+            .sum();
+        key_bytes + self.accs.iter().map(Acc::approx_bytes).sum::<u64>()
+    }
+}
+
+/// Pass 2, generic arm: [`AggState`]s fed through [`Expr::eval`], with one
+/// reused argument buffer. `ids[i]` is the group of row `lo + i`.
+fn generic_acc(
+    agg: &AggExpr,
+    input: &Batch,
+    lo: usize,
+    ids: &[u32],
+    ng: usize,
+    ctx: &EvalContext,
+) -> Result<Acc> {
+    let mut states = vec![init_state(agg, input.schema()); ng];
+    let mut vals = Vec::with_capacity(agg.args.len());
+    for (row, &g) in (lo..).zip(ids) {
+        vals.clear();
+        for a in &agg.args {
+            vals.push(a.eval(input, row, ctx)?);
+        }
+        update(&mut states[g as usize], &vals)?;
+    }
+    Ok(Acc::Generic(states))
+}
+
+/// The aggregate kernel over `rows` of `input` — one pipeline morsel, or
+/// one chunk of a materialized batch: dense group ids (pass 1), then one
+/// loop per aggregate over its column (pass 2). Typed arms cover
+/// `COUNT(*)`, `COUNT(col)`, integer and float `SUM`, `AVG`, and
+/// `MIN`/`MAX` over int and float columns; every other aggregate runs the
+/// generic arm, which evaluates its arguments through [`Expr::eval`] into
+/// one reused buffer.
+pub(crate) fn aggregate_morsel(
+    input: &Batch,
+    rows: Range<usize>,
+    group_exprs: &[Expr],
+    aggs: &[AggExpr],
+    ctx: &EvalContext,
+) -> Result<AggPartial> {
+    // Cancellation/deadline observed once per range; a range is at most a
+    // stride or a chunk of rows, so latency stays bounded.
+    ctx.statement.check()?;
+    let (lo, hi) = (rows.start, rows.end);
+    let mut stats = ExecStats::default();
+    let Groups { ids, keys } = group_rows(input, lo, hi, group_exprs, ctx, &mut stats)?;
+    let ng = keys.len();
+    let n = rows.len() as u64;
+    let mut accs = Vec::with_capacity(aggs.len());
+    for agg in aggs {
+        accs.push(match typed_acc(agg, input, lo, hi, &ids, ng)? {
+            Some(acc) => {
+                stats.agg_typed_rows += n;
+                acc
+            }
+            None => {
+                stats.agg_eval_rows += n;
+                generic_acc(agg, input, lo, &ids, ng, ctx)?
+            }
+        });
+    }
+    Ok(AggPartial { keys, accs, stats })
+}
+
+/// The materialized executor's arm of the kernel: fixed-size row chunks
+/// run on the worker pool and fold in chunk order through the same
+/// [`AggAccumulator`] the pipeline breaker uses, so results are
+/// byte-identical across parallelism and to the pipelined path's group
+/// order.
+fn aggregate_chunks(
     input: &Batch,
     group_exprs: &[Expr],
-    cols: &[KeyCol<'_>],
     aggs: &[AggExpr],
-    out_schema: &Schema,
+    out_schema: Schema,
     ctx: &EvalContext,
     parallelism: usize,
     stats: &mut ExecStats,
 ) -> Result<Batch> {
     let n = input.len();
-    let nk = cols.len();
-    let stride = nk + 1; // key words + NULL-mask word
-    let parts = (n / PARTITION_ROWS + 1).next_power_of_two();
-    let mask = parts as u64 - 1;
-
-    // Phase 1 — radix-scatter key words into per-partition buckets, one
-    // row-range morsel at a time (same recipe as the Datum path, minus the
-    // per-row `Vec<Datum>`). Each worker leases its buckets' bytes.
-    type CodedBucket = (Vec<u32>, Vec<u64>);
-    let ranges = pool::row_morsels(n, parallelism, 4096);
-    let scatter_run = pool::run_morsels(ranges.len(), parallelism, &ctx.statement, |mi| {
-        let (lo, hi) = ranges[mi];
-        let mut local: Vec<CodedBucket> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-        let mut words = vec![0u64; stride];
-        for row in lo..hi {
-            let mut nulls = 0u64;
-            for (c, col) in cols.iter().enumerate() {
-                match col.word(row) {
-                    Some(w) => words[c] = w,
-                    None => {
-                        words[c] = 0;
-                        nulls |= 1 << c;
-                    }
-                }
-            }
-            words[nk] = nulls;
-            let p = if parts == 1 {
-                0
-            } else {
-                // NULL columns carry word 0 (not STR_MISS), so the raw-string
-                // hashing inside route_hash never touches a NULL slot; the
-                // mask folds in so (NULL) and (value-with-word-0) split.
-                ((route_hash(cols, &words[..nk], row) ^ nulls.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    & mask) as usize
-            };
-            local[p].0.push(row as u32);
-            local[p].1.extend_from_slice(&words);
-        }
-        let mut lease = BudgetLease::new(&ctx.statement);
-        let bytes: u64 = local
-            .iter()
-            .map(|(rows, ws)| (rows.len() * 4 + ws.len() * 8) as u64)
-            .sum();
-        lease.charge(bytes)?;
-        Ok((local, lease))
-    });
-    let scatter_run = scatter_run.inspect_err(|e| {
+    let mut acc = AggAccumulator::new();
+    let run = pool::run_morsels_fold(
+        n.div_ceil(AGG_CHUNK_ROWS),
+        parallelism,
+        parallelism.max(1) * 4,
+        &ctx.statement,
+        |mi| {
+            let lo = mi * AGG_CHUNK_ROWS;
+            let chunk = lo..(lo + AGG_CHUNK_ROWS).min(n);
+            let partial = aggregate_morsel(input, chunk, group_exprs, aggs, ctx)?;
+            // Each waiting partial holds a lease until it folds.
+            let mut lease = BudgetLease::new(&ctx.statement);
+            lease.charge(partial.approx_bytes())?;
+            Ok((partial, lease))
+        },
+        |(_, lease): &(AggPartial, BudgetLease)| lease.held().max(1),
+        |_, (partial, _lease)| acc.merge(partial),
+    )
+    .inspect_err(|e| {
         if matches!(e, DashError::ResourceExhausted(_)) {
             stats.budget_rejections += 1;
         }
     })?;
-    stats.note_parallel_phase(scatter_run.morsels_dispatched, scatter_run.workers_used);
-    stats.agg_scatter_morsels += scatter_run.morsels_dispatched;
-    if parts > 1 {
-        stats.rows_partitioned += n as u64;
-    }
-    let mut leases = Vec::with_capacity(scatter_run.results.len());
-    let mut scattered: Vec<CodedBucket> = (0..parts).map(|_| (Vec::new(), Vec::new())).collect();
-    for (local, lease) in scatter_run.results {
-        leases.push(lease);
-        for (p, (rows, ws)) in local.into_iter().enumerate() {
-            scattered[p].0.extend(rows);
-            scattered[p].1.extend(ws);
+    stats.note_parallel_phase(run.morsels_dispatched, run.workers_used);
+    *stats += acc.stats;
+    acc.finish(group_exprs, aggs, out_schema, input.schema())
+}
+
+/// The aggregate pipeline breaker's fold side: merges per-morsel
+/// [`AggPartial`]s in morsel-index order, keeping groups in global
+/// first-appearance order, then finishes into the output batch. Runs only
+/// on the folding thread, so it needs no synchronization.
+pub(crate) struct AggAccumulator {
+    gid_of: FxHashMap<GroupKey, u32>,
+    keys: Vec<Vec<Datum>>,
+    key_bytes: u64,
+    accs: Vec<Acc>,
+    /// The merged partials' key-path and typed-vs-eval row counters.
+    pub(crate) stats: ExecStats,
+}
+
+impl AggAccumulator {
+    pub(crate) fn new() -> AggAccumulator {
+        AggAccumulator {
+            gid_of: FxHashMap::default(),
+            keys: Vec::new(),
+            key_bytes: 0,
+            accs: Vec::new(),
+            stats: ExecStats::default(),
         }
     }
 
-    // Phase 2 — aggregate each partition as its own morsel. Rows arrive in
-    // input order, groups emit in first-appearance order, and partitions
-    // hold disjoint keys, so serial and parallel runs are byte-identical.
-    let scattered: Vec<Mutex<CodedBucket>> = scattered.into_iter().map(Mutex::new).collect();
-    let agg_run = pool::run_morsels(scattered.len(), parallelism, &ctx.statement, |p| {
-        let (rows, mut words) = std::mem::take(&mut *scattered[p].lock());
-        // Out-of-dictionary strings intern in input row order: the local
-        // code assignment is deterministic regardless of worker timing.
-        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
-        let mut gid_of: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-        let mut reps: Vec<u32> = Vec::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
-        for (i, &row) in rows.iter().enumerate() {
-            let ws = &mut words[i * stride..(i + 1) * stride];
-            for c in 0..nk {
-                if ws[c] == STR_MISS && cols[c].is_str() {
-                    ws[c] = interners[c].intern(cols[c].str_at(row as usize));
-                }
-            }
-            let gid = match gid_of.get(&ws[..]) {
+    /// Fold one morsel's partial into the global state. Must be called in
+    /// morsel-index order for deterministic group order. Local group ids
+    /// map to global ids once per group, then each column merges whole.
+    pub(crate) fn merge(&mut self, partial: AggPartial) -> Result<()> {
+        self.stats += partial.stats;
+        let mut map = Vec::with_capacity(partial.keys.len());
+        for key in partial.keys {
+            let key = GroupKey(key);
+            let g = match self.gid_of.get(&key) {
                 Some(&g) => g,
                 None => {
-                    let g = reps.len() as u32;
-                    gid_of.insert(ws.to_vec(), g);
-                    reps.push(row);
-                    states.push(init_states(aggs, input));
+                    let g = self.keys.len() as u32;
+                    self.key_bytes += dash_common::statement::approx_row_bytes(&key.0);
+                    self.keys.push(key.0.clone());
+                    self.gid_of.insert(key, g);
                     g
                 }
             };
-            let sts = &mut states[gid as usize];
-            for (agg, state) in aggs.iter().zip(sts.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row as usize, ctx)?);
-                }
-                update(state, &vals)?;
-            }
+            map.push(g);
         }
-        // Late materialization: group values decode once per group, from
-        // the representative (first) row.
-        let mut part_rows: Vec<Row> = Vec::with_capacity(reps.len());
-        for (&rep, sts) in reps.iter().zip(states) {
-            let mut vals: Vec<Datum> = Vec::with_capacity(nk + aggs.len());
-            for g in group_exprs {
-                let Expr::Col(c) = g else {
-                    unreachable!("encoded grouping requires bare column keys")
-                };
-                vals.push(input.value(rep as usize, *c));
-            }
-            for (agg, state) in aggs.iter().zip(sts) {
-                vals.push(finish(state, &agg.func));
-            }
-            part_rows.push(Row::new(vals));
+        if self.accs.is_empty() {
+            // First partial: every group is new and ids map to themselves.
+            self.accs = partial.accs;
+            return Ok(());
         }
-        Ok(part_rows)
-    })?;
-    stats.note_parallel_phase(agg_run.morsels_dispatched, agg_run.workers_used);
-    drop(leases); // partition state consumed — return its budget
-    let out_rows: Vec<Row> = agg_run.results.into_iter().flatten().collect();
-    Batch::from_rows(out_schema.clone(), &out_rows)
+        for (dst, src) in self.accs.iter_mut().zip(partial.accs) {
+            dst.merge(src, &map)?;
+        }
+        Ok(())
+    }
+
+    /// Rough heap footprint of the accumulated group state.
+    pub(crate) fn approx_bytes(&self) -> u64 {
+        self.key_bytes + self.accs.iter().map(Acc::approx_bytes).sum::<u64>()
+    }
+
+    /// Finish every group into the output batch. `input_schema` is the
+    /// pre-aggregation schema (for typing a synthesized global group when
+    /// zero morsels arrived).
+    pub(crate) fn finish(
+        self,
+        group_exprs: &[Expr],
+        aggs: &[AggExpr],
+        out_schema: Schema,
+        input_schema: &Schema,
+    ) -> Result<Batch> {
+        // A global aggregate yields exactly one row even with zero input.
+        if group_exprs.is_empty() && self.keys.is_empty() {
+            let row: Vec<Datum> = aggs
+                .iter()
+                .map(|agg| finish(init_state(agg, input_schema), &agg.func))
+                .collect();
+            return Batch::from_rows(out_schema, &[Row::new(row)]);
+        }
+        let mut cols: Vec<_> = self
+            .accs
+            .into_iter()
+            .zip(aggs)
+            .map(|(acc, agg)| acc.finish(&agg.func).into_iter())
+            .collect();
+        let mut out_rows: Vec<Row> = Vec::with_capacity(self.keys.len());
+        for mut row in self.keys {
+            row.extend(cols.iter_mut().map(|c| c.next().unwrap_or(Datum::Null)));
+            out_rows.push(Row::new(row));
+        }
+        Batch::from_rows(out_schema, &out_rows)
+    }
 }
 
 /// Hash-aggregate a batch.
@@ -1264,9 +1182,13 @@ fn encoded_aggregate(
 /// `group_exprs` produce the key (empty = global aggregate, which always
 /// yields exactly one row); `aggs` produce the aggregate columns. The
 /// output schema is `group columns ⧺ aggregate columns` with the supplied
-/// field definitions. `key_mode` is the planner's key-path decision:
-/// `Encoded` admits the typed fast path and the encoded word-keyed path,
-/// `Datum` forces the general fallback.
+/// field definitions. `key_mode` is the planner's key-path decision.
+///
+/// Under `Encoded` (and for every global aggregate) the batch runs the
+/// aggregate kernel in fixed-size chunks, the same kernel the pipeline
+/// breaker runs per morsel. `Datum` group keys and `DISTINCT` aggregates,
+/// whose per-chunk seen-sets cannot merge, take the partitioned `Datum`
+/// scatter below.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_aggregate(
     input: &Batch,
@@ -1278,25 +1200,13 @@ pub fn hash_aggregate(
     parallelism: usize,
     stats: &mut ExecStats,
 ) -> Result<Batch> {
-    if key_mode == KeyMode::Encoded && !group_exprs.is_empty() && !input.is_empty() {
-        // Vectorized fast path for the dominant shape.
-        if let Some(result) =
-            try_fast_aggregate(input, group_exprs, aggs, &out_schema, ctx, parallelism, stats)
-        {
-            stats.encoded_key_rows += input.len() as u64;
-            return result;
-        }
-        // General encoded path: group on fixed-width key words.
-        if let Some(result) =
-            try_encoded_aggregate(input, group_exprs, aggs, &out_schema, ctx, parallelism, stats)
-        {
-            stats.encoded_key_rows += input.len() as u64;
-            return result;
-        }
+    if supports_partial(aggs) && (group_exprs.is_empty() || key_mode == KeyMode::Encoded) {
+        return aggregate_chunks(input, group_exprs, aggs, out_schema, ctx, parallelism, stats);
     }
     if !group_exprs.is_empty() {
         stats.datum_key_rows += input.len() as u64;
     }
+    stats.agg_eval_rows += (input.len() * aggs.len()) as u64;
     // Phase 1+2 fused — each row-range morsel evaluates its group keys and
     // radix-scatters them into thread-local per-partition buckets, the
     // same recipe `hash_join::partition_side` uses. No serial pass over
@@ -1419,24 +1329,17 @@ pub fn hash_aggregate(
 }
 
 fn init_states(aggs: &[AggExpr], input: &Batch) -> Vec<AggState> {
-    init_states_for_schema(aggs, input.schema())
+    aggs.iter().map(|a| init_state(a, input.schema())).collect()
 }
 
-fn init_states_for_schema(aggs: &[AggExpr], schema: &Schema) -> Vec<AggState> {
-    aggs.iter()
-        .map(|a| {
-            // SUM over an integer column stays integer.
-            let is_int = a
-                .args
-                .first()
-                .and_then(|e| match e {
-                    Expr::Col(i) => Some(schema.field(*i).data_type.is_integer()),
-                    _ => None,
-                })
-                .unwrap_or(false);
-            new_state(a, is_int)
-        })
-        .collect()
+/// Fresh state for one aggregate over `schema`: SUM over an integer column
+/// stays integer.
+fn init_state(agg: &AggExpr, schema: &Schema) -> AggState {
+    let is_int = match agg.args.first() {
+        Some(Expr::Col(i)) => schema.field(*i).data_type.is_integer(),
+        _ => false,
+    };
+    new_state(agg, is_int)
 }
 
 /// Merge a morsel-partial aggregate state into the running state for the
@@ -1553,35 +1456,6 @@ pub(crate) fn supports_partial(aggs: &[AggExpr]) -> bool {
     !aggs.iter().any(|a| a.distinct)
 }
 
-/// One morsel's worth of grouped aggregate state: group keys in
-/// first-appearance order plus the running states per group. Produced on
-/// pool workers by [`aggregate_morsel`], merged in morsel-index order by
-/// [`AggAccumulator::merge`].
-pub(crate) struct AggPartial {
-    keys: Vec<Vec<Datum>>,
-    states: Vec<Vec<AggState>>,
-    /// True when the morsel grouped on encoded key words.
-    encoded: bool,
-    rows: u64,
-}
-
-impl AggPartial {
-    /// Rough heap footprint, for inflight accounting.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        let key_bytes: u64 = self
-            .keys
-            .iter()
-            .map(|k| dash_common::statement::approx_row_bytes(k))
-            .sum();
-        let state_bytes: u64 = self
-            .states
-            .iter()
-            .flat_map(|sts| sts.iter().map(state_bytes))
-            .sum();
-        key_bytes + state_bytes
-    }
-}
-
 fn state_bytes(s: &AggState) -> u64 {
     let base = std::mem::size_of::<AggState>() as u64;
     match s {
@@ -1590,239 +1464,6 @@ fn state_bytes(s: &AggState) -> u64 {
             base + set.iter().map(approx_datum_bytes).sum::<u64>() + state_bytes(inner)
         }
         _ => base,
-    }
-}
-
-/// Aggregate one pipeline morsel into a mergeable partial. Grouping runs
-/// on encoded key words when every group key is a bare column whose values
-/// reduce to fixed-width words (the operate-on-compressed path, with
-/// out-of-dictionary strings interned in row order), falling back to
-/// `Datum` keys otherwise. Group keys materialize from each group's first
-/// row, so merging partials in morsel order reproduces the serial scan's
-/// first-appearance group order.
-pub(crate) fn aggregate_morsel(
-    input: &Batch,
-    group_exprs: &[Expr],
-    aggs: &[AggExpr],
-    ctx: &EvalContext,
-) -> Result<AggPartial> {
-    let n = input.len();
-    // Cancellation/deadline observed once per morsel; a morsel is at most a
-    // stride's worth of rows, so latency stays bounded.
-    ctx.statement.check()?;
-    if group_exprs.is_empty() {
-        // Global aggregate: one group, present even for an empty morsel so
-        // zero-row inputs still produce their NULL/0 row at finish.
-        let mut states = init_states(aggs, input);
-        for row in 0..n {
-            for (agg, state) in aggs.iter().zip(states.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row, ctx)?);
-                }
-                update(state, &vals)?;
-            }
-        }
-        return Ok(AggPartial {
-            keys: vec![Vec::new()],
-            states: vec![states],
-            encoded: false,
-            rows: n as u64,
-        });
-    }
-
-    if let Some(cols) = key::group_key_cols(input, group_exprs) {
-        let nk = cols.len();
-        let mut interners: Vec<StrInterner> = (0..nk).map(|_| StrInterner::default()).collect();
-        let mut gid_of: FxHashMap<Vec<u64>, u32> = FxHashMap::default();
-        let mut reps: Vec<u32> = Vec::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
-        let mut words = vec![0u64; nk + 1];
-        for row in 0..n {
-            let mut nulls = 0u64;
-            for (c, col) in cols.iter().enumerate() {
-                match col.word(row) {
-                    Some(w) => words[c] = w,
-                    None => {
-                        words[c] = 0;
-                        nulls |= 1 << c;
-                    }
-                }
-            }
-            words[nk] = nulls;
-            for c in 0..nk {
-                if words[c] == STR_MISS && cols[c].is_str() {
-                    words[c] = interners[c].intern(cols[c].str_at(row));
-                }
-            }
-            let gid = match gid_of.get(&words[..]) {
-                Some(&g) => g,
-                None => {
-                    let g = reps.len() as u32;
-                    gid_of.insert(words.clone(), g);
-                    reps.push(row as u32);
-                    states.push(init_states(aggs, input));
-                    g
-                }
-            };
-            let sts = &mut states[gid as usize];
-            for (agg, state) in aggs.iter().zip(sts.iter_mut()) {
-                let mut vals = Vec::with_capacity(agg.args.len());
-                for a in &agg.args {
-                    vals.push(a.eval(input, row, ctx)?);
-                }
-                update(state, &vals)?;
-            }
-        }
-        // Late materialization from each group's representative row.
-        let mut keys = Vec::with_capacity(reps.len());
-        for &rep in &reps {
-            let mut key = Vec::with_capacity(nk);
-            for g in group_exprs {
-                key.push(g.eval(input, rep as usize, ctx)?);
-            }
-            keys.push(key);
-        }
-        return Ok(AggPartial {
-            keys,
-            states,
-            encoded: true,
-            rows: n as u64,
-        });
-    }
-
-    // Datum fallback: computed key expressions or unwordable columns.
-    let mut gid_of: FxHashMap<Vec<Datum>, u32> = FxHashMap::default();
-    let mut keys: Vec<Vec<Datum>> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    for row in 0..n {
-        let mut key = Vec::with_capacity(group_exprs.len());
-        for g in group_exprs {
-            key.push(g.eval(input, row, ctx)?);
-        }
-        let gid = match gid_of.get(&key) {
-            Some(&g) => g,
-            None => {
-                let g = keys.len() as u32;
-                gid_of.insert(key.clone(), g);
-                keys.push(key.clone());
-                states.push(init_states(aggs, input));
-                g
-            }
-        };
-        let sts = &mut states[gid as usize];
-        for (agg, state) in aggs.iter().zip(sts.iter_mut()) {
-            let mut vals = Vec::with_capacity(agg.args.len());
-            for a in &agg.args {
-                vals.push(a.eval(input, row, ctx)?);
-            }
-            update(state, &vals)?;
-        }
-    }
-    Ok(AggPartial {
-        keys,
-        states,
-        encoded: false,
-        rows: n as u64,
-    })
-}
-
-/// The aggregate pipeline breaker's fold side: merges per-morsel
-/// [`AggPartial`]s in morsel-index order, keeping groups in global
-/// first-appearance order, then finishes into the output batch. Runs only
-/// on the folding thread, so it needs no synchronization.
-pub(crate) struct AggAccumulator {
-    gid_of: FxHashMap<Vec<Datum>, u32>,
-    keys: Vec<Vec<Datum>>,
-    states: Vec<Vec<AggState>>,
-    /// Rows aggregated via encoded key words vs `Datum` fallback keys.
-    pub(crate) encoded_rows: u64,
-    /// Rows aggregated via the `Datum` fallback path.
-    pub(crate) datum_rows: u64,
-}
-
-impl AggAccumulator {
-    pub(crate) fn new() -> AggAccumulator {
-        AggAccumulator {
-            gid_of: FxHashMap::default(),
-            keys: Vec::new(),
-            states: Vec::new(),
-            encoded_rows: 0,
-            datum_rows: 0,
-        }
-    }
-
-    /// Fold one morsel's partial into the global state. Must be called in
-    /// morsel-index order for deterministic group order.
-    pub(crate) fn merge(&mut self, partial: AggPartial) -> Result<()> {
-        if partial.encoded {
-            self.encoded_rows += partial.rows;
-        } else {
-            self.datum_rows += partial.rows;
-        }
-        for (key, sts) in partial.keys.into_iter().zip(partial.states) {
-            match self.gid_of.get(&key) {
-                Some(&g) => {
-                    let dst = &mut self.states[g as usize];
-                    for (d, s) in dst.iter_mut().zip(sts) {
-                        merge_state(d, s)?;
-                    }
-                }
-                None => {
-                    let g = self.keys.len() as u32;
-                    self.gid_of.insert(key.clone(), g);
-                    self.keys.push(key);
-                    self.states.push(sts);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rough heap footprint of the accumulated group state.
-    pub(crate) fn approx_bytes(&self) -> u64 {
-        let key_bytes: u64 = self
-            .keys
-            .iter()
-            .map(|k| dash_common::statement::approx_row_bytes(k))
-            .sum();
-        let state_bytes: u64 = self
-            .states
-            .iter()
-            .flat_map(|sts| sts.iter().map(state_bytes))
-            .sum();
-        key_bytes + state_bytes
-    }
-
-    /// Finish every group into the output batch. `input_schema` is the
-    /// pre-aggregation schema (for typing a synthesized global group when
-    /// zero morsels arrived).
-    pub(crate) fn finish(
-        self,
-        group_exprs: &[Expr],
-        aggs: &[AggExpr],
-        out_schema: Schema,
-        input_schema: &Schema,
-    ) -> Result<Batch> {
-        let mut out_rows: Vec<Row> = Vec::with_capacity(self.keys.len());
-        for (key, states) in self.keys.into_iter().zip(self.states) {
-            let mut row: Vec<Datum> = key;
-            for (agg, state) in aggs.iter().zip(states) {
-                row.push(finish(state, &agg.func));
-            }
-            out_rows.push(Row::new(row));
-        }
-        // A global aggregate yields exactly one row even with zero input.
-        if group_exprs.is_empty() && out_rows.is_empty() {
-            let states = init_states_for_schema(aggs, input_schema);
-            let row: Vec<Datum> = aggs
-                .iter()
-                .zip(states)
-                .map(|(agg, s)| finish(s, &agg.func))
-                .collect();
-            out_rows.push(Row::new(row));
-        }
-        Batch::from_rows(out_schema, &out_rows)
     }
 }
 
@@ -2160,12 +1801,15 @@ mod tests {
             let end = (start + split).min(input.len());
             let idx: Vec<usize> = (start..end).collect();
             let morsel = input.take(&idx);
-            acc.merge(aggregate_morsel(&morsel, group_exprs, aggs, &ctx()).unwrap())
-                .unwrap();
+            acc.merge(
+                aggregate_morsel(&morsel, 0..morsel.len(), group_exprs, aggs, &ctx()).unwrap(),
+            )
+            .unwrap();
             start = end;
             any = true;
         }
-        acc.finish(group_exprs, aggs, schema, input.schema()).unwrap()
+        acc.finish(group_exprs, aggs, schema, input.schema())
+            .unwrap()
     }
 
     #[test]
@@ -2302,5 +1946,286 @@ mod tests {
         // east appears first in row order, then west — across morsels.
         assert_eq!(merged.row(0).get(0), &Datum::from("east"));
         assert_eq!(merged.row(1).get(0), &Datum::from("west"));
+    }
+
+    // ---- aggregate kernel: typed arms vs the generic arm, key edge cases ----
+
+    use dash_encoding::column::ColumnValues;
+    use std::sync::Arc;
+
+    fn s(v: &str) -> Option<Arc<str>> {
+        Some(Arc::from(v))
+    }
+
+    /// Key columns (str, int, float) and value columns (int, float, str)
+    /// salted with NULL keys, ±0.0 and NaN, `i64::MAX`, and one group
+    /// (`k_str = "nul"`) whose values are all NULL.
+    fn edge_batch() -> Batch {
+        let schema = Schema::new(vec![
+            Field::new("k_str", DataType::Utf8),
+            Field::new("k_int", DataType::Int64),
+            Field::new("k_f", DataType::Float64),
+            Field::new("v_int", DataType::Int64),
+            Field::new("v_f", DataType::Float64),
+            Field::new("v_s", DataType::Utf8),
+        ])
+        .unwrap();
+        const N: Datum = Datum::Null;
+        let (max, nan) = (i64::MAX, f64::NAN);
+        let rows = [
+            row!["b", max, -0.0f64, 5i64, -0.0f64, "x"],
+            row![N, N, 0.0f64, -7i64, 2.5f64, N],
+            row!["nul", 3i64, nan, N, N, N],
+            row!["a", max, N, max, nan, "y"],
+            row!["b", -1i64, -nan, 2i64, 1.0f64, "z"],
+            row![N, 3i64, 1.5f64, N, -4.0f64, "w"],
+            row!["nul", N, 0.0f64, N, N, N],
+            row!["a", 0i64, N, -3i64, 0.5f64, N],
+            row!["b", max, 1.5f64, N, 0.0f64, "x"],
+        ];
+        Batch::from_rows(schema, &rows).unwrap()
+    }
+
+    fn render(acc: Result<Acc>, func: &AggFunc) -> Result<Vec<String>> {
+        acc.map(|a| a.finish(func).iter().map(|d| format!("{d:?}")).collect())
+    }
+
+    /// The typed arm's and the generic arm's finished columns for `agg`
+    /// over `input` grouped by `group` (`{:?}`-rendered, so -0.0 and NaN
+    /// differences show).
+    fn both_arms(
+        input: &Batch,
+        group: &[Expr],
+        agg: &AggExpr,
+    ) -> (Result<Vec<String>>, Result<Vec<String>>) {
+        let mut stats = ExecStats::default();
+        let g = group_rows(input, 0, input.len(), group, &ctx(), &mut stats).unwrap();
+        let ng = g.keys.len();
+        let typed = typed_acc(agg, input, 0, input.len(), &g.ids, ng)
+            .map(|a| a.unwrap_or_else(|| panic!("{agg:?} has no typed arm")));
+        let generic = generic_acc(agg, input, 0, &g.ids, ng, &ctx());
+        (render(typed, &agg.func), render(generic, &agg.func))
+    }
+
+    fn typed_aggs() -> Vec<AggExpr> {
+        let mut aggs = vec![AggExpr {
+            func: AggFunc::CountStar,
+            args: vec![],
+            distinct: false,
+        }];
+        for c in [3, 4, 5] {
+            aggs.push(agg1(AggFunc::Count, c));
+        }
+        for c in [3, 4] {
+            for f in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+                aggs.push(agg1(f, c));
+            }
+        }
+        aggs
+    }
+
+    #[test]
+    fn typed_arms_match_generic_arm() {
+        let full = edge_batch();
+        // Drop the i64::MAX value row so integer SUM does not overflow.
+        let input = full.take(&[0, 1, 2, 4, 5, 6, 7, 8]);
+        let empty = full.take(&[]);
+        let groups: Vec<Vec<Expr>> = vec![
+            vec![],
+            vec![Expr::col(0)],
+            vec![Expr::col(1)],
+            vec![Expr::col(2)],
+            vec![Expr::col(0), Expr::col(1), Expr::col(2)],
+        ];
+        for batch in [&input, &empty] {
+            for group in &groups {
+                for agg in typed_aggs() {
+                    let (typed, generic) = both_arms(batch, group, &agg);
+                    assert_eq!(
+                        typed.unwrap(),
+                        generic.unwrap(),
+                        "{agg:?} grouped by {group:?} over {} rows",
+                        batch.len()
+                    );
+                }
+            }
+        }
+        // Both arms raise the integer SUM overflow.
+        let (typed, generic) = both_arms(&full, &[Expr::col(0)], &agg1(AggFunc::Sum, 3));
+        assert!(
+            typed.is_ok() && generic.is_ok(),
+            "one i64::MAX per group fits"
+        );
+        let twice = full.take(&[3, 3]);
+        let (typed, generic) = both_arms(&twice, &[], &agg1(AggFunc::Sum, 3));
+        assert_eq!(typed.unwrap_err().class(), "22000");
+        assert_eq!(generic.unwrap_err().class(), "22000");
+    }
+
+    #[test]
+    fn all_null_groups_finish_null() {
+        // Group "nul" (first seen at row 2) has only NULL values.
+        let input = edge_batch();
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+            for c in [3, 4] {
+                let (typed, _) = both_arms(&input, &[Expr::col(0)], &agg1(func.clone(), c));
+                assert_eq!(typed.unwrap()[2], "Null", "{func:?} over column {c}");
+            }
+        }
+    }
+
+    fn group_keys(input: &Batch, group: &[Expr]) -> (Vec<u32>, Vec<Vec<Datum>>) {
+        let mut stats = ExecStats::default();
+        let g = group_rows(input, 0, input.len(), group, &ctx(), &mut stats).unwrap();
+        (g.ids, g.keys)
+    }
+
+    #[test]
+    fn null_keys_group_at_first_appearance() {
+        let input = edge_batch();
+        let (ids, keys) = group_keys(&input, &[Expr::col(0)]);
+        assert_eq!(ids, vec![0, 1, 2, 3, 0, 1, 2, 3, 0]);
+        assert_eq!(keys[1], vec![Datum::Null]);
+        let (ids, keys) = group_keys(&input, &[Expr::col(1)]);
+        assert_eq!(ids, vec![0, 1, 2, 0, 3, 2, 1, 4, 0]);
+        assert_eq!(keys[1], vec![Datum::Null]);
+        let (ids, keys) = group_keys(&input, &[Expr::col(2)]);
+        assert_eq!(ids[3], 2, "NULL float key is the third group");
+        assert_eq!(keys[2], vec![Datum::Null]);
+    }
+
+    #[test]
+    fn float_keys_fold_signed_zero_and_nan() {
+        let input = edge_batch();
+        let (ids, keys) = group_keys(&input, &[Expr::col(2)]);
+        // -0.0/0.0 one group (first seen as -0.0), every NaN one group.
+        assert_eq!(ids, vec![0, 0, 1, 2, 1, 3, 0, 2, 3]);
+        assert_eq!(format!("{:?}", keys[0][0]), "Float(-0.0)");
+        // The same identity holds when the groups meet in the merge.
+        let aggs = [agg1(AggFunc::Count, 3)];
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Float64),
+            Field::new("n", DataType::Int64),
+        ])
+        .unwrap();
+        let merged = partial_pipeline(&input, 1, &[Expr::col(2)], &aggs, schema);
+        assert_eq!(merged.len(), 4);
+    }
+
+    #[test]
+    fn int_max_key_beside_string_miss() {
+        // No dictionary: every string is a miss, whose sentinel word is
+        // the word i64::MAX encodes to. They must stay apart.
+        let input = edge_batch();
+        let group = [Expr::col(1), Expr::col(5)];
+        let (ids, keys) = group_keys(&input, &group);
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 1, 6, 0]);
+        assert_eq!(keys[0], vec![Datum::Int(i64::MAX), Datum::from("x")]);
+        let aggs = [agg1(AggFunc::Sum, 3)];
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("s", DataType::Utf8),
+            Field::new("sum", DataType::Int64),
+        ])
+        .unwrap();
+        let run = |mode| {
+            let mut stats = ExecStats::default();
+            let mut rows = hash_aggregate(
+                &input,
+                &group,
+                &aggs,
+                schema.clone(),
+                &ctx(),
+                mode,
+                1,
+                &mut stats,
+            )
+            .unwrap()
+            .to_rows();
+            rows.sort_by_key(|r| format!("{r:?}"));
+            (rows, stats.encoded_key_rows)
+        };
+        let (encoded, encoded_rows) = run(KeyMode::Encoded);
+        assert_eq!(encoded, run(KeyMode::Datum).0);
+        assert_eq!(encoded.len(), 7);
+        assert_eq!(encoded_rows, 9);
+    }
+
+    #[test]
+    fn dictionary_and_out_of_dictionary_strings_group_apart() {
+        let schema = Schema::new(vec![Field::new("k", DataType::Utf8)]).unwrap();
+        let in_dict: Vec<Arc<str>> = vec![Arc::from("a"), Arc::from("b")];
+        let dict = Arc::new(dash_encoding::FreqDict::build(
+            &dash_encoding::histogram::Histogram::from_values(in_dict.iter().map(Some)),
+        ));
+        // Dictionary strings (shared Arcs, as scan decode hands them out),
+        // fresh Arcs of dictionary strings, and strings outside it.
+        let vals = vec![
+            Some(in_dict[0].clone()),
+            s("c"),
+            Some(in_dict[1].clone()),
+            s("a"),
+            s("c"),
+            Some(in_dict[0].clone()),
+            None,
+            s("d"),
+        ];
+        let mut input = Batch::new(schema, vec![ColumnValues::Str(vals)]).unwrap();
+        input.set_str_dict(0, dict);
+        let (ids, keys) = group_keys(&input, &[Expr::col(0)]);
+        assert_eq!(ids, vec![0, 1, 2, 0, 1, 0, 3, 4]);
+        assert_eq!(keys[1], vec![Datum::from("c")]);
+    }
+
+    #[test]
+    fn distinct_arcs_of_one_string_share_a_group() {
+        let schema = Schema::new(vec![Field::new("k", DataType::Utf8)]).unwrap();
+        let a: Arc<str> = Arc::from("same");
+        let vals = vec![Some(a.clone()), s("same"), Some(a), s("same"), s("other")];
+        let input = Batch::new(schema, vec![ColumnValues::Str(vals)]).unwrap();
+        let (ids, _) = group_keys(&input, &[Expr::col(0)]);
+        assert_eq!(ids, vec![0, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn empty_morsel_and_zero_row_global_aggregate() {
+        let empty = sales().take(&[]);
+        let aggs = [
+            AggExpr {
+                func: AggFunc::CountStar,
+                args: vec![],
+                distinct: false,
+            },
+            agg1(AggFunc::Sum, 1),
+            agg1(AggFunc::Max, 2),
+        ];
+        let grouped =
+            aggregate_morsel(&empty, 0..empty.len(), &[Expr::col(0)], &aggs, &ctx()).unwrap();
+        assert!(grouped.keys.is_empty());
+        assert_eq!(grouped.stats.agg_typed_rows, 0);
+        let global = aggregate_morsel(&empty, 0..empty.len(), &[], &aggs, &ctx()).unwrap();
+        assert_eq!(
+            global.keys,
+            vec![Vec::<Datum>::new()],
+            "a global morsel always has its group"
+        );
+        let out = partial_pipeline(&empty, 4, &[], &aggs, out_schema(0, 3));
+        assert_eq!(out.to_rows(), vec![row![0i64, Datum::Null, Datum::Null]]);
+        let out = partial_pipeline(&empty, 4, &[Expr::col(0)], &aggs, out_schema(1, 3));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn kernel_counts_typed_and_eval_rows() {
+        let input = sales();
+        let mut aggs = vec![agg1(AggFunc::Sum, 1), agg1(AggFunc::Avg, 2)];
+        let p = aggregate_morsel(&input, 0..input.len(), &[Expr::col(0)], &aggs, &ctx()).unwrap();
+        assert_eq!((p.stats.agg_typed_rows, p.stats.agg_eval_rows), (10, 0));
+        // String MIN and percentiles take the generic arm.
+        aggs.push(agg1(AggFunc::Min, 0));
+        aggs.push(agg1(AggFunc::Median, 2));
+        let p = aggregate_morsel(&input, 0..input.len(), &[Expr::col(0)], &aggs, &ctx()).unwrap();
+        assert_eq!((p.stats.agg_typed_rows, p.stats.agg_eval_rows), (10, 10));
+        assert_eq!(p.stats.encoded_key_rows, 5);
     }
 }

@@ -95,7 +95,7 @@ fn key_domain(dt: DataType) -> KeyDomain {
     }
 }
 
-/// Maximum number of group-by key columns the encoded aggregate supports
+/// Maximum number of group-by key columns the encoded key words support
 /// (one bit per column in the null-mask word).
 pub(crate) const MAX_ENCODED_GROUP_KEYS: usize = 63;
 

@@ -362,7 +362,8 @@ fn run_chain(shape: ChainShape<'_>, ctx: &EvalContext) -> Result<(Batch, ExecSta
         let mut lease = BudgetLease::new(&ctx.statement);
         let payload = match &shape.agg {
             Some(a) => {
-                let partial = agg::aggregate_morsel(&batch, a.group, a.aggs, ctx)?;
+                let partial =
+                    agg::aggregate_morsel(&batch, 0..batch.len(), a.group, a.aggs, ctx)?;
                 lease.charge(partial.approx_bytes()).inspect_err(|_| {
                     mstats.budget_rejections += 1;
                 })?;
@@ -430,8 +431,7 @@ fn run_chain(shape: ChainShape<'_>, ctx: &EvalContext) -> Result<(Batch, ExecSta
 
     let mut batch = match shape.agg {
         Some(a) => {
-            stats.encoded_key_rows += acc.encoded_rows;
-            stats.datum_key_rows += acc.datum_rows;
+            stats += acc.stats;
             acc.finish(a.group, a.aggs, a.schema.clone(), &schema)?
         }
         None => Batch::concat_columnar(schema, collected)?,

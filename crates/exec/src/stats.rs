@@ -56,6 +56,13 @@ pub struct ExecStats {
     /// other side's code domain (the re-encode rule: translate the
     /// smaller side, never decode the larger one).
     pub keys_reencoded_rows: u64,
+    /// Aggregate input rows that went through a typed arm of the aggregate
+    /// kernel (one loop over a column vector), summed over aggregates.
+    pub agg_typed_rows: u64,
+    /// Aggregate input rows whose arguments went through `Expr::eval`
+    /// (the kernel's generic arm, or the `Datum` scatter), summed over
+    /// aggregates.
+    pub agg_eval_rows: u64,
     /// Pipelines the query-wide morsel scheduler ran (scan→…→sink chains).
     /// Zero when the query fell back to operator-at-a-time execution.
     pub pipelines_run: u64,
@@ -127,6 +134,8 @@ impl AddAssign for ExecStats {
         self.encoded_key_rows += rhs.encoded_key_rows;
         self.datum_key_rows += rhs.datum_key_rows;
         self.keys_reencoded_rows += rhs.keys_reencoded_rows;
+        self.agg_typed_rows += rhs.agg_typed_rows;
+        self.agg_eval_rows += rhs.agg_eval_rows;
         self.pipelines_run += rhs.pipelines_run;
         self.pipeline_breakers += rhs.pipeline_breakers;
         // Peaks, not sums: two pipelines that each held 4 morsels in flight
@@ -199,17 +208,23 @@ mod tests {
             encoded_key_rows: 100,
             datum_key_rows: 10,
             keys_reencoded_rows: 5,
+            agg_typed_rows: 8,
+            agg_eval_rows: 3,
             ..Default::default()
         };
         s += ExecStats {
             encoded_key_rows: 50,
             datum_key_rows: 1,
             keys_reencoded_rows: 2,
+            agg_typed_rows: 1,
+            agg_eval_rows: 4,
             ..Default::default()
         };
         assert_eq!(s.encoded_key_rows, 150);
         assert_eq!(s.datum_key_rows, 11);
         assert_eq!(s.keys_reencoded_rows, 7);
+        assert_eq!(s.agg_typed_rows, 9);
+        assert_eq!(s.agg_eval_rows, 7);
     }
 
     #[test]

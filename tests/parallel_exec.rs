@@ -20,8 +20,8 @@ use dashdb_local::exec::Batch;
 
 const PARALLELISMS: [usize; 3] = [2, 4, 8];
 
-/// Enough rows that the fast-path aggregate takes its parallel branch
-/// (FAST_PARALLEL_MIN_ROWS = 8192) and row morsels actually fan out.
+/// Enough rows that the aggregate kernel's 4096-row chunks and the row
+/// morsels actually fan out.
 const BIG: usize = 40_000;
 
 fn agg(func: AggFunc, col: usize) -> AggExpr {
@@ -89,7 +89,7 @@ fn out_schema(fields: &[(&str, DataType)]) -> Schema {
 
 #[test]
 fn generic_aggregate_matches_serial_exactly() {
-    // Two group columns forces the generic (non-fast-path) aggregate.
+    // KeyMode::Datum forces the partitioned Datum scatter.
     let input = fact_batch(BIG);
     let schema = out_schema(&[
         ("region", DataType::Utf8),
@@ -140,8 +140,8 @@ fn generic_aggregate_matches_serial_exactly() {
 
 #[test]
 fn fast_path_aggregate_matches_serial_exactly() {
-    // Single int group column + COUNT/SUM(int) rides the vectorized fast
-    // path; above FAST_PARALLEL_MIN_ROWS it fans out into typed partials.
+    // Single int group column + COUNT/SUM(int) rides the aggregate
+    // kernel's typed arms, fanned out over fixed-size chunks.
     let input = fact_batch(BIG);
     let schema = out_schema(&[
         ("grp", DataType::Int64),
@@ -179,13 +179,32 @@ fn fast_path_aggregate_matches_serial_exactly() {
         // in morsel order, so even row order matches the serial run.
         assert_eq!(out.to_rows(), serial.to_rows(), "parallelism {par}");
         assert!(stats.parallel_workers_used > 1, "parallelism {par}");
+        assert_eq!(stats.agg_eval_rows, 0, "typed arms only: {stats:?}");
     }
+    // The Datum scatter is a separate implementation: same groups, same
+    // values, its own emit order.
+    let mut datum = hash_aggregate(
+        &input,
+        &groups,
+        &aggs,
+        schema.clone(),
+        &EvalContext::default(),
+        KeyMode::Datum,
+        2,
+        &mut ExecStats::default(),
+    )
+    .unwrap()
+    .to_rows();
+    let mut kernel = serial.to_rows();
+    datum.sort_by_key(|r| r.get(0).render());
+    kernel.sort_by_key(|r| r.get(0).render());
+    assert_eq!(kernel, datum);
 }
 
 #[test]
 fn fast_path_float_sums_match_within_epsilon() {
-    // SUM(float) re-associates across morsels; values agree to 1e-9
-    // relative, group sets agree exactly.
+    // Chunk boundaries are fixed, so float sums match exactly across
+    // worker counts; the check allows 1e-9 relative all the same.
     let input = fact_batch(BIG);
     let schema = out_schema(&[("grp", DataType::Int64), ("w", DataType::Float64)]);
     let aggs = [agg(AggFunc::Sum, 3)];
@@ -372,8 +391,8 @@ fn join_with_all_null_keys_matches_serial() {
 
 #[test]
 fn encoded_aggregate_matches_datum_aggregate() {
-    // Multi-key grouping (string + int, both with NULLs): the encoded
-    // aggregate interns code words, the Datum path hashes materialized
+    // Multi-key grouping (string + int, both with NULLs): the kernel
+    // groups on code words, the Datum scatter hashes materialized
     // keys. Group sets and aggregates must agree exactly; emit order is
     // path-specific, so rows are compared sorted.
     let input = fact_batch(BIG);
@@ -416,8 +435,8 @@ fn encoded_aggregate_matches_datum_aggregate() {
 #[test]
 fn float_group_keys_agree_across_all_paths() {
     // -0.0 and +0.0 are one group, every NaN is one group — on the
-    // vectorized fast path, the encoded path, and the generic Datum path
-    // alike (canonical_f64_bits unifies the key identity everywhere).
+    // aggregate kernel (single and multi-key) and the Datum scatter alike
+    // (canonical_f64_bits unifies the key identity everywhere).
     let schema = Schema::new(vec![Field::new("k", DataType::Float64)]).unwrap();
     let rows: Vec<Row> = (0..4096)
         .map(|i| match i % 5 {
@@ -449,8 +468,8 @@ fn float_group_keys_agree_across_all_paths() {
         });
         got
     };
-    // Single bare float key: the vectorized fast path (Encoded) vs the
-    // generic Datum path. 3 groups: ±0.0 fold together, NaNs fold together.
+    // Single bare float key: the kernel's word map (Encoded) vs the
+    // Datum scatter. 3 groups: ±0.0 fold together, NaNs fold together.
     let out1 = out_schema(&[("k", DataType::Float64), ("cnt", DataType::Int64)]);
     let bare = [Expr::col(0)];
     let mut single = Vec::new();
@@ -464,8 +483,8 @@ fn float_group_keys_agree_across_all_paths() {
     for other in &single[1..] {
         assert_eq!(&single[0], other, "single-key paths must agree on float identity");
     }
-    // Doubled key (k, k): multi-key grouping rides the encoded aggregate
-    // under Encoded and the generic partitioned path under Datum.
+    // Doubled key (k, k): multi-key grouping rides the kernel's word
+    // tuples under Encoded and the partitioned scatter under Datum.
     let out2 = out_schema(&[
         ("k", DataType::Float64),
         ("k2", DataType::Float64),
@@ -645,7 +664,7 @@ fn sql_operators_report_parallel_workers() {
     assert!(scan.stats.parallel_workers_used > 1, "scan: {:?}", scan.stats);
     assert!(scan.stats.morsels_dispatched > 1);
 
-    // Grouped aggregate (single int key → fast path partials).
+    // Grouped aggregate (single int key → typed kernel partials).
     let agg = s
         .execute("SELECT grp, COUNT(*), SUM(qty) FROM facts GROUP BY grp")
         .unwrap();

@@ -111,8 +111,8 @@ fn generic_aggregate_over_budget_is_refused_cleanly() {
     let db = Database::with_hardware(HardwareSpec::laptop());
     let mut s = loaded_session(&db, 5000);
 
-    // Two group expressions defeat the single-column fast path, forcing
-    // the generic hash aggregate that charges its scatter partitions.
+    // A computed group expression keeps the planner on Datum keys,
+    // forcing the partitioned scatter that charges its partitions.
     let sql = "SELECT region, id % 7, COUNT(*), SUM(amount) FROM sales GROUP BY region, id % 7";
     let unbudgeted = s.query(sql).unwrap();
 
